@@ -7,7 +7,7 @@
 //! cargo run --release -p ttt_scengen --example swarm -- \
 //!     [--seeds N] [--base B] [--no-equivalence] [--no-detection] \
 //!     [--no-conservation] [--max-tests LIMIT] [--no-shrink] \
-//!     [--dump-dir DIR] [--replay-dir DIR] [--service-chaos] [--log-dir DIR]
+//!     [--dump-dir DIR] [--service-chaos] [--log-dir DIR]
 //!
 //! # Coverage-guided fuzzing:
 //! cargo run --release -p ttt_scengen --example swarm -- --fuzz \
@@ -24,20 +24,20 @@
 //! ```
 //!
 //! Sweep mode prints one line per scenario, a throughput summary, and —
-//! for every failure — the minimal reproducer seed and JSON dump. With
+//! for every failure — the minimal reproducer seed and its dump. With
 //! `--dump-dir` each reproducer is also written to
 //! `DIR/repro-seed-<N>.json` so CI can upload the shrunken scenarios as
-//! workflow artifacts. `--replay-dir` re-runs every `*.json` reproducer in
-//! a directory first; a dump written by an incompatible grammar version is
-//! reported and skipped, never a panic. Exits non-zero if any scenario
-//! violated an oracle.
+//! workflow artifacts. A dump is a `scenario.v1` file: re-run it with
+//! `--scenario FILE`, or a whole dump directory with `--scenario-dir DIR`.
+//! Exits non-zero if any scenario violated an oracle.
 //!
 //! Fuzz mode evolves a corpus of coverage-novel scenarios from
 //! `--root-seed`, deterministically. `--corpus FILE` loads the starting
-//! corpus when the file exists (an incompatible corpus is reported and
-//! replaced) and writes the evolved corpus back. `--oracles` turns the
-//! differential oracles on during fuzzing; violations ("trophies") are
-//! shrunk and written to `--dump-dir` like sweep failures.
+//! corpus when the file exists (an incompatible corpus is reported with
+//! its path and replaced) and writes the evolved corpus back. `--oracles`
+//! turns the differential oracles on during fuzzing; violations
+//! ("trophies") are shrunk and written to `--dump-dir` like sweep
+//! failures.
 //!
 //! Scenario-file mode validates each file (every problem reported with
 //! its JSON path) and runs the valid ones through the same oracles as the
@@ -50,8 +50,8 @@
 use std::path::PathBuf;
 use std::time::Instant;
 use ttt_scengen::{
-    load_scenario_file, replay_file, replay_run_log_file, run_fuzz, run_logged, run_scenario,
-    run_swarm, run_swarm_service_chaos, seed_block, Corpus, FuzzConfig, Oracles, ScenarioOutcome,
+    load_scenario_file, replay_run_log_file, run_fuzz, run_logged, run_scenario, run_swarm,
+    run_swarm_service_chaos, seed_block, Corpus, FuzzConfig, Oracles, ReplayError, ScenarioOutcome,
 };
 
 fn write_run_log(dir: &str, stem: &str, artifact: &ttt_scengen::RunLogArtifact) {
@@ -73,7 +73,7 @@ fn write_reproducers(outcomes: &[&ScenarioOutcome], dump_dir: Option<&str>, log_
         }
         if let Some(r) = &o.reproducer {
             println!(
-                "seed {}: minimal reproducer ({} h horizon, {} fault kinds, {} shrink passes): {}",
+                "seed {}: minimal reproducer ({} h horizon, {} fault kinds, {} shrink passes):\n{}",
                 o.seed,
                 r.spec.duration_hours,
                 r.spec.fault_mix.len(),
@@ -145,39 +145,6 @@ fn run_scenario_files(files: &[PathBuf], oracles: &Oracles, log_dir: Option<&str
     any_failure
 }
 
-/// Replay every `*.json` dump in `dir`. Unreadable dumps (older grammar,
-/// junk files) are reported and skipped — the sweep continues. Returns
-/// whether any dump still violates.
-fn replay_dir(dir: &str, oracles: &Oracles) -> bool {
-    let mut entries: Vec<_> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot read --replay-dir {dir}: {e}");
-            return false;
-        }
-    };
-    entries.sort();
-    let mut any_violation = false;
-    for path in entries {
-        let name = path.display();
-        match replay_file(&path, oracles) {
-            Ok(violations) if violations.is_empty() => println!("replay {name}: clean"),
-            Ok(violations) => {
-                any_violation = true;
-                for v in violations {
-                    println!("replay {name}: {v}");
-                }
-            }
-            // The error already names the file it came from.
-            Err(e) => eprintln!("replay: {e} — skipping"),
-        }
-    }
-    any_violation
-}
-
 fn run_fuzz_mode(
     cfg: FuzzConfig,
     corpus_path: Option<String>,
@@ -187,15 +154,16 @@ fn run_fuzz_mode(
     let corpus = match &corpus_path {
         Some(path) if std::path::Path::new(path).exists() => {
             match std::fs::read_to_string(path)
-                .map_err(|e| e.to_string())
+                .map_err(|e| ReplayError::parse(format!("cannot read file: {e}")))
                 .and_then(|json| Corpus::from_json(&json))
+                .map_err(|e| e.with_path(path))
             {
                 Ok(c) => {
                     println!("corpus: loaded {} entries from {path}", c.len());
                     c
                 }
                 Err(e) => {
-                    eprintln!("corpus {path}: {e} — starting fresh");
+                    eprintln!("corpus: {e} — starting fresh");
                     Corpus::new()
                 }
             }
@@ -243,7 +211,6 @@ fn main() {
     let mut shrink = true;
     let mut service_chaos = false;
     let mut dump_dir: Option<String> = None;
-    let mut replay_from: Option<String> = None;
     let mut log_dir: Option<String> = None;
     let mut replay_logs: Vec<String> = Vec::new();
     let mut scenario_files: Vec<PathBuf> = Vec::new();
@@ -270,7 +237,6 @@ fn main() {
             "--no-shrink" => shrink = false,
             "--service-chaos" => service_chaos = true,
             "--dump-dir" => dump_dir = Some(raw("--dump-dir")),
-            "--replay-dir" => replay_from = Some(raw("--replay-dir")),
             "--log-dir" => log_dir = Some(raw("--log-dir")),
             "--replay-log" => replay_logs.push(raw("--replay-log")),
             "--scenario" => scenario_files.push(PathBuf::from(raw("--scenario"))),
@@ -334,7 +300,7 @@ fn main() {
         let failed = run_scenario_files(&scenario_files, &oracles, log_dir.as_deref());
         std::process::exit(if failed || replay_log_failure { 1 } else { 0 });
     }
-    if !replay_logs.is_empty() && !fuzz && replay_from.is_none() {
+    if !replay_logs.is_empty() && !fuzz {
         // Pure replay invocation: don't fall through to a seed sweep.
         std::process::exit(if replay_log_failure { 1 } else { 0 });
     }
@@ -349,11 +315,6 @@ fn main() {
         }
         fuzz_cfg.shrink_failures = shrink;
         std::process::exit(run_fuzz_mode(fuzz_cfg, corpus_path, dump_dir, log_dir));
-    }
-
-    let mut replayed_violation = replay_log_failure;
-    if let Some(dir) = &replay_from {
-        replayed_violation |= replay_dir(dir, &oracles);
     }
 
     if n == 0 {
@@ -408,7 +369,7 @@ fn main() {
         report.outcomes.len() as f64 / secs.max(1e-9),
         report.total_tests_run()
     );
-    if !report.all_passed() || replayed_violation {
+    if !report.all_passed() {
         std::process::exit(1);
     }
 }

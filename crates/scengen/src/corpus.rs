@@ -6,26 +6,24 @@
 //! the search walks outward from behaviorally distinct points instead of
 //! resampling the dense center of the seed distribution.
 //!
-//! Corpora persist as version-tagged JSON (the same discipline as
-//! reproducer dumps): a corpus written by an incompatible grammar loads as
-//! a reported error, never a panic, so CI can carry a corpus across
-//! revisions and fall back to a fresh one when the format moves.
+//! Corpora persist as a version-tagged JSON envelope whose entry specs
+//! are `scenario.v1` documents: a corpus written under another envelope
+//! version loads as a reported error, never a panic, so CI can carry a
+//! corpus across revisions and fall back to a fresh one when the format
+//! moves.
 
+use crate::artifact::{from_envelope, ReplayError};
 use crate::coverage::CoverageSignature;
-use crate::grammar::{ensure_spec_defaults, ScenarioSpec};
+use crate::grammar::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Format version of serialized corpora. Bump when [`ScenarioSpec`] or
-/// [`CoverageSignature`] change incompatibly. Older versions whose only
-/// spec change is an appended field stay loadable — [`Corpus::from_json`]
-/// injects the implicit defaults, so CI corpora survive grammar growth.
+/// Format version of serialized corpora, matched exactly on load. Bump
+/// when the envelope or [`CoverageSignature`] changes; spec changes live
+/// in the embedded `scenario.v1` documents and need no bump.
 ///
-/// v2: specs carry `link_model`, and the signature's site axis widened
-/// from u8 to u16 (both migrate losslessly from v1).
-/// v3: specs carry `queries_per_day`/`query_users` (the read plane;
-/// migrates losslessly from v1/v2 — older specs ran with it disarmed).
-pub const CORPUS_VERSION: u32 = 3;
+/// v4: entry specs became `scenario.v1` documents.
+pub const CORPUS_VERSION: u32 = 4;
 
 /// One coverage-novel scenario: the first spec observed to produce its
 /// signature.
@@ -101,57 +99,12 @@ impl Corpus {
         .expect("corpus serializes")
     }
 
-    /// Parse a corpus from its JSON envelope. A version mismatch or parse
-    /// failure is an error message, not a panic — callers (the CLI, CI)
-    /// report it and start from an empty corpus.
-    ///
-    /// The version is probed before the entries are parsed, so a corpus
-    /// written by a *future* grammar reports "incompatible version", not
-    /// whatever field its entries happen to fail on. Corpora from `1` up
-    /// to [`CORPUS_VERSION`] all load: older entry specs are migrated in
-    /// place by injecting the implicit defaults of the fields appended
-    /// since (chaos off, ideal backbone).
-    pub fn from_json(json: &str) -> Result<Corpus, String> {
-        let mut value = match serde_json::parse(json) {
-            Ok(v) => v,
-            Err(e) => {
-                return Err(format!(
-                    "unreadable corpus (not a v{CORPUS_VERSION} envelope): {e}"
-                ))
-            }
-        };
-        if let Some(obj) = value.as_object() {
-            if let Some((_, v)) = obj.iter().find(|(k, _)| k == "version") {
-                let found = match v {
-                    serde::Value::I64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                    serde::Value::U64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                    _ => u32::MAX,
-                };
-                if !(1..=CORPUS_VERSION).contains(&found) {
-                    return Err(format!(
-                        "corpus version {found} incompatible with this build (reads v{CORPUS_VERSION})"
-                    ));
-                }
-            }
-        }
-        // Migrate pre-current entry specs before the strict parse.
-        if let serde::Value::Object(fields) = &mut value {
-            if let Some((_, serde::Value::Array(entries))) =
-                fields.iter_mut().find(|(k, _)| k == "entries")
-            {
-                for entry in entries {
-                    if let serde::Value::Object(entry_fields) = entry {
-                        if let Some((_, spec)) =
-                            entry_fields.iter_mut().find(|(k, _)| k == "spec")
-                        {
-                            ensure_spec_defaults(spec);
-                        }
-                    }
-                }
-            }
-        }
-        let file: CorpusFile = Deserialize::from_value(&value)
-            .map_err(|e| format!("unreadable corpus (not a v{CORPUS_VERSION} envelope): {e}"))?;
+    /// Parse a corpus from its JSON envelope. A version other than
+    /// [`CORPUS_VERSION`], or a parse failure, is a [`ReplayError`], not a
+    /// panic — callers (the CLI, CI) report it and start from an empty
+    /// corpus.
+    pub fn from_json(json: &str) -> Result<Corpus, ReplayError> {
+        let file: CorpusFile = from_envelope(json, "corpus", CORPUS_VERSION)?;
         let mut corpus = Corpus::new();
         for entry in file.entries {
             corpus.add(entry.spec, entry.signature);
@@ -196,79 +149,29 @@ mod tests {
         assert_eq!(back.entries(), corpus.entries());
     }
 
-    /// A v1 corpus — written before `link_model` joined the spec and the
-    /// signature's site axis widened — must keep loading: CI carries its
-    /// corpus across revisions and a format bump must not silently reset
-    /// the fuzzer's memory.
-    #[test]
-    fn v1_corpus_still_loads_with_migrated_specs() {
-        let (mut expected_spec, sig) = entry_for(4);
-        expected_spec.buggify_rate = 0.0;
-        expected_spec.link_model = ttt_testbed::LinkModelSpec::Ideal;
-        expected_spec.queries_per_day = 0.0;
-        expected_spec.query_users = 0;
-        let mut spec_value = expected_spec.to_value();
-        if let serde::Value::Object(fields) = &mut spec_value {
-            fields.retain(|(k, _)| {
-                k != "link_model"
-                    && k != "buggify_rate"
-                    && k != "queries_per_day"
-                    && k != "query_users"
-            });
-        }
-        let entry = serde::Value::Object(vec![
-            ("spec".to_string(), spec_value),
-            ("signature".to_string(), sig.to_value()),
-        ]);
-        let v1 = serde_json::to_string(&serde::Value::Object(vec![
-            ("version".to_string(), serde::Value::U64(1)),
-            ("entries".to_string(), serde::Value::Array(vec![entry])),
-        ]))
-        .unwrap();
-        let corpus = Corpus::from_json(&v1).expect("v1 corpus must load");
-        assert_eq!(corpus.len(), 1);
-        assert_eq!(corpus.entry(0).spec, expected_spec);
-        assert_eq!(corpus.entry(0).signature, sig);
-    }
-
-    /// A v2 corpus predates only the query-plane fields; it must migrate
-    /// to the disarmed read plane it actually ran with.
-    #[test]
-    fn v2_corpus_still_loads_with_migrated_specs() {
-        let (mut expected_spec, sig) = entry_for(5);
-        expected_spec.queries_per_day = 0.0;
-        expected_spec.query_users = 0;
-        let mut spec_value = expected_spec.to_value();
-        if let serde::Value::Object(fields) = &mut spec_value {
-            fields.retain(|(k, _)| k != "queries_per_day" && k != "query_users");
-        }
-        let entry = serde::Value::Object(vec![
-            ("spec".to_string(), spec_value),
-            ("signature".to_string(), sig.to_value()),
-        ]);
-        let v2 = serde_json::to_string(&serde::Value::Object(vec![
-            ("version".to_string(), serde::Value::U64(2)),
-            ("entries".to_string(), serde::Value::Array(vec![entry])),
-        ]))
-        .unwrap();
-        let corpus = Corpus::from_json(&v2).expect("v2 corpus must load");
-        assert_eq!(corpus.len(), 1);
-        assert_eq!(corpus.entry(0).spec, expected_spec);
-        assert_eq!(corpus.entry(0).signature, sig);
-    }
-
     #[test]
     fn incompatible_corpus_is_an_error_not_a_panic() {
         assert!(Corpus::from_json("not json").is_err());
         assert!(Corpus::from_json("{\"entries\": []}").is_err());
-        let future = "{\"version\": 99, \"entries\": []}";
-        let err = Corpus::from_json(future).unwrap_err();
-        assert!(err.contains("version 99"), "unhelpful error: {err}");
-        // The version is probed before the entries parse: a future corpus
-        // whose entry shape changed still reports the version, not a
-        // field error.
-        let future_shape = "{\"version\": 99, \"entries\": [{\"bogus\": 1}]}";
-        let err = Corpus::from_json(future_shape).unwrap_err();
-        assert!(err.contains("version 99"), "probe ran after parse: {err}");
+        // Older corpora are reported, never migrated; the version is
+        // checked before the entries parse, so a corpus whose entry shape
+        // changed still reports the version, not a field error.
+        for found in [3, 99] {
+            let stale = format!("{{\"version\": {found}, \"entries\": [{{\"bogus\": 1}}]}}");
+            let err = Corpus::from_json(&stale).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("corpus version {found}")),
+                "unhelpful error: {err}"
+            );
+        }
+        // A current envelope whose spec fails the scenario.v1 validator.
+        let (spec, sig) = entry_for(2);
+        let mut corpus = Corpus::new();
+        corpus.add(spec, sig);
+        let broken = corpus
+            .to_json()
+            .replace("\"scenario.v1\"", "\"scenario.v0\"");
+        let err = Corpus::from_json(&broken).unwrap_err().to_string();
+        assert!(err.contains("scenario.v0"), "unhelpful error: {err}");
     }
 }

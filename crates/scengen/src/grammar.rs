@@ -4,9 +4,9 @@
 //! testbed topology (cluster count, size, heterogeneity), fault mix over
 //! every [`FaultKind`], user-load and rollout patterns, scheduling mode,
 //! tick grid and horizon — and a spec lowers into a runnable
-//! [`CampaignConfig`] for either engine. Specs serialize to JSON so a
-//! failing swarm seed can be dumped, shrunk and replayed as a one-line
-//! test (see [`crate::shrink`]).
+//! [`CampaignConfig`] for either engine. Specs serialize as `scenario.v1`
+//! documents ([`crate::scenario_file`]) so a failing swarm seed can be
+//! dumped, shrunk and replayed as a one-line test (see [`crate::shrink`]).
 //!
 //! The dimension bounds are deliberately small: the swarm re-runs every
 //! scenario under both engines, so a scenario must stay in the
@@ -14,7 +14,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use ttt_core::{CampaignConfig, Engine, Rollout, SchedulingMode, TestbedScale};
 use ttt_jobsched::PolicyConfig;
 use ttt_oar::userload::UserLoadConfig;
@@ -42,7 +41,7 @@ pub(crate) fn site_name(i: usize) -> String {
 }
 
 /// Scheduling-mode dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModeDim {
     /// The paper's external scheduler.
     External,
@@ -54,7 +53,7 @@ pub enum ModeDim {
 }
 
 /// Rollout dimension.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RolloutDim {
     /// Every family active from t=0.
     AllAtStart,
@@ -70,10 +69,11 @@ pub enum RolloutDim {
 
 /// A fully-expanded scenario: every campaign dimension pinned.
 ///
-/// The spec is the replayable artifact — it serializes to JSON, lowers to a
-/// [`CampaignConfig`] via [`ScenarioSpec::campaign_config`], and is what
-/// the shrinker mutates when minimizing a failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The spec is the replayable artifact — it serializes as a `scenario.v1`
+/// document (its only serialized form, see [`crate::scenario_file`]),
+/// lowers to a [`CampaignConfig`] via [`ScenarioSpec::campaign_config`],
+/// and is what the shrinker mutates when minimizing a failure.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed (drives both the expansion and the campaign's streams).
     pub seed: u64,
@@ -337,33 +337,6 @@ impl ScenarioSpec {
     }
 }
 
-/// Inject the implicit defaults of fields appended to [`ScenarioSpec`]
-/// after an artifact was written: specs dumped before `buggify_rate`
-/// existed ran with chaos off, and specs dumped before `link_model`
-/// existed ran on the ideal backbone. Mutating the parsed JSON value
-/// keeps old reproducer dumps and corpora loadable while the strict
-/// missing-field errors stay in force for current-version files.
-pub(crate) fn ensure_spec_defaults(spec: &mut serde::Value) {
-    if let serde::Value::Object(fields) = spec {
-        if !fields.iter().any(|(k, _)| k == "buggify_rate") {
-            fields.push(("buggify_rate".to_string(), serde::Value::F64(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "link_model") {
-            fields.push((
-                "link_model".to_string(),
-                serde::Value::String("Ideal".to_string()),
-            ));
-        }
-        // Specs dumped before the read plane existed ran without it.
-        if !fields.iter().any(|(k, _)| k == "queries_per_day") {
-            fields.push(("queries_per_day".to_string(), serde::Value::F64(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "query_users") {
-            fields.push(("query_users".to_string(), serde::Value::U64(0)));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +371,10 @@ mod tests {
     fn spec_roundtrips_through_json() {
         let spec = ScenarioSpec::from_seed(7);
         let json = serde_json::to_string(&spec).unwrap();
+        assert!(
+            json.contains(crate::scenario_file::SCENARIO_FORMAT),
+            "{json}"
+        );
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec, back);
     }

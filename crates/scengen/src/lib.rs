@@ -9,8 +9,11 @@
 //! * [`grammar`] — any `u64` seed expands deterministically into a
 //!   [`ScenarioSpec`]: testbed topology, fault mix over the whole
 //!   catalogue, user load, rollout pattern, scheduling mode, tick grid and
-//!   horizon. Specs serialize to JSON and lower to [`ttt_core`] campaign
-//!   configurations for either engine.
+//!   horizon. Specs lower to [`ttt_core`] campaign configurations for
+//!   either engine.
+//! * [`scenario_file`] — the `scenario.v1` format, the one serialized form
+//!   of a spec: scenario files, reproducer dumps, corpus entries and run
+//!   logs all carry it; [`artifact`] holds the one error type they share.
 //! * [`oracle`] — differential checks every generated scenario must pass:
 //!   NextEvent ≡ Lockstep bit-identity, detection soundness (injected
 //!   faults resolve back through `find_fault`; every mixed-in kind is
@@ -20,8 +23,8 @@
 //!   a panicking scenario is caught per seed, never costing the sweep.
 //! * [`shrink`] — failing scenarios are minimized (horizon bisection,
 //!   fault-mix pruning, noise zeroing, looped to a fixpoint) into a
-//!   [`Reproducer`] whose version-tagged JSON dump replays as a one-line
-//!   test.
+//!   [`Reproducer`] whose dump is a `scenario.v1` file that replays as a
+//!   one-line test.
 //! * [`coverage`] / [`corpus`] / [`mutate`] — the coverage-guided layer:
 //!   campaigns are fingerprinted into behavioral signatures, signature-
 //!   novel specs are kept in a corpus, and structural mutators evolve the
@@ -37,6 +40,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 pub mod corpus;
 pub mod coverage;
 pub mod grammar;
@@ -47,6 +51,7 @@ pub mod scenario_file;
 pub mod shrink;
 pub mod swarm;
 
+pub use artifact::{ReplayError, ReplayErrorKind};
 pub use corpus::{Corpus, CorpusEntry, CORPUS_VERSION};
 pub use coverage::{CoverageSignature, StructuralCell};
 pub use grammar::{ModeDim, RolloutDim, ScenarioSpec};
@@ -60,10 +65,7 @@ pub use scenario_file::{
     load_scenario_file, parse_scenario, to_scenario_json, to_scenario_value, ScenarioFileError,
     SCENARIO_FORMAT,
 };
-pub use shrink::{
-    dump_spec, parse_dump, replay, replay_file, shrink, ReplayError, ReplayErrorKind, Reproducer,
-    DUMP_VERSION,
-};
+pub use shrink::{replay, shrink, Reproducer};
 pub use swarm::{
     random_coverage, run_fuzz, run_scenario, run_seed, run_seed_service_chaos, run_swarm,
     run_swarm_service_chaos, seed_block, FuzzConfig, FuzzReport, Oracles, ScenarioOutcome,

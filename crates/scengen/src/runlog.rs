@@ -15,15 +15,17 @@
 //! run of the same spec produce identical digests (pinned by a test
 //! here), so logging a run never changes what it reproduces.
 
+use crate::artifact::{from_envelope, ReplayError};
 use crate::grammar::ScenarioSpec;
 use crate::oracle::CampaignDigest;
-use crate::shrink::ReplayError;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use ttt_core::{Campaign, Engine};
 use ttt_sim::EventLog;
 
-/// Format version of run-log artifacts.
-pub const RUN_LOG_VERSION: u32 = 1;
+/// Format version of run-log artifacts, matched exactly on load.
+///
+/// v2: the spec became an embedded `scenario.v1` document.
+pub const RUN_LOG_VERSION: u32 = 2;
 
 /// Stable on-disk name of each engine (the `Engine` enum is not part of
 /// any serialization surface, so the artifact carries a string).
@@ -52,7 +54,7 @@ pub struct RunLogArtifact {
     pub version: u32,
     /// Which engine drove the run (see [`engine_name`]).
     pub engine: String,
-    /// The exact spec the run lowered.
+    /// The exact spec the run lowered (a `scenario.v1` document on disk).
     pub spec: ScenarioSpec,
     /// The digest the run produced, floats bitwise.
     pub digest: CampaignDigest,
@@ -66,25 +68,11 @@ impl RunLogArtifact {
         serde_json::to_string(self).expect("run log serializes")
     }
 
-    /// Parse an artifact. Shares [`ReplayError`] with reproducer dumps:
-    /// version mismatches and parse failures are reported (with the file
-    /// path when the caller attaches one), never panics.
+    /// Parse an artifact. A version other than [`RUN_LOG_VERSION`], or a
+    /// parse failure, is a [`ReplayError`] (with the file path when the
+    /// caller attaches one), never a panic.
     pub fn from_json(json: &str) -> Result<RunLogArtifact, ReplayError> {
-        let value =
-            serde_json::parse(json).map_err(|e| ReplayError::parse(e.to_string()))?;
-        let version = value.as_object().and_then(|obj| {
-            obj.iter().find(|(k, _)| k == "version").map(|(_, v)| match v {
-                Value::I64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                Value::U64(n) => u32::try_from(*n).unwrap_or(u32::MAX),
-                _ => u32::MAX,
-            })
-        });
-        match version {
-            Some(RUN_LOG_VERSION) => {}
-            Some(found) => return Err(ReplayError::version(found)),
-            None => return Err(ReplayError::parse("run log has no \"version\" field")),
-        }
-        Deserialize::from_value(&value).map_err(|e| ReplayError::parse(e.to_string()))
+        from_envelope(json, "run log", RUN_LOG_VERSION)
     }
 }
 
@@ -159,8 +147,8 @@ pub fn replay_run_log_file(path: &std::path::Path) -> Result<RunLogReplay, Repla
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::ReplayErrorKind;
     use crate::oracle::run_campaign;
-    use crate::shrink::ReplayErrorKind;
 
     #[test]
     fn recording_does_not_change_the_campaign() {
@@ -217,12 +205,16 @@ mod tests {
 
     #[test]
     fn tampered_artifacts_are_reported_not_replayed() {
-        match RunLogArtifact::from_json("{\"version\": 99}") {
-            Err(ReplayError {
-                kind: ReplayErrorKind::Version { found: 99 },
-                ..
-            }) => {}
-            other => panic!("expected version error, got {other:?}"),
+        // Older logs (v1 embedded the serde-derived spec) are reported,
+        // never migrated.
+        for found in [1, 99] {
+            match RunLogArtifact::from_json(&format!("{{\"version\": {found}}}")) {
+                Err(ReplayError {
+                    kind: ReplayErrorKind::Version { found: f, .. },
+                    ..
+                }) if f == found => {}
+                other => panic!("expected version error, got {other:?}"),
+            }
         }
         assert!(RunLogArtifact::from_json("not json").is_err());
         assert!(RunLogArtifact::from_json("{\"engine\": \"next-event\"}").is_err());
@@ -230,5 +222,28 @@ mod tests {
         let mut artifact = run_logged(&ScenarioSpec::from_seed(3), Engine::NextEvent);
         artifact.engine = "quantum".to_string();
         assert!(replay_run_log(&artifact).is_err());
+    }
+
+    #[test]
+    fn run_log_file_errors_name_the_file() {
+        let dir = std::env::temp_dir().join("ttt-runlog-file-error-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stale.json");
+        std::fs::write(&path, "{\"version\": 1, \"engine\": \"next-event\"}").unwrap();
+        let err = replay_run_log_file(&path).unwrap_err();
+        assert_eq!(
+            err.path.as_deref(),
+            Some(path.display().to_string().as_str())
+        );
+        let shown = err.to_string();
+        assert!(shown.contains("stale.json"), "path missing from: {shown}");
+        assert!(
+            shown.contains("run log version 1"),
+            "cause missing from: {shown}"
+        );
+
+        let missing = replay_run_log_file(&dir.join("absent.json")).unwrap_err();
+        assert!(missing.to_string().contains("absent.json"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

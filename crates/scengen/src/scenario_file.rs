@@ -1,15 +1,16 @@
-//! The `scenario.v1` file format: hand-authorable campaign scenarios.
+//! The `scenario.v1` format: the one serialized form of a scenario.
 //!
-//! [`ScenarioSpec`] is the fuzzer's internal artifact — its JSON shape
-//! mirrors Rust struct layout (externally-tagged enums, flat field soup)
-//! and changes whenever the grammar grows. This module defines the
-//! *stable, documented* on-disk format an operator writes by hand and the
-//! swarm CLI loads with `--scenario`: sectioned, human-named fields with
-//! defaults for everything but the topology, a `"format": "scenario.v1"`
-//! tag so future revisions can migrate, and a validator that reports
-//! **every** problem in one pass with a JSON path per error
-//! (`clusters[2].nodes: must be between 1 and 8`) instead of dying on the
-//! first.
+//! Every artifact that carries a [`ScenarioSpec`] carries it as a
+//! `scenario.v1` document: hand-written files loaded with `--scenario`,
+//! shrunk reproducer dumps (which *are* scenario files), corpus entries
+//! and run logs (which embed one through the spec's `Serialize`/
+//! `Deserialize` impls below). The format is sectioned, with human-named
+//! fields and defaults for everything but the topology, a `"format":
+//! "scenario.v1"` tag, and a validator that reports **every** problem in
+//! one pass with a JSON path per error (`clusters[2].nodes: must be
+//! between 1 and 8`) instead of dying on the first. Defaults live here
+//! and nowhere else, so a new spec field touches only this file and the
+//! grammar.
 //!
 //! Every grammar-generated spec round-trips: `parse_scenario(
 //! to_scenario_json(&spec))` returns the spec bit-for-bit (floats are
@@ -216,15 +217,20 @@ fn parse_vendor(s: &str) -> Option<Vendor> {
 /// failure, *every* problem found is returned, each with the JSON path of
 /// the offending value. Never panics on any input.
 pub fn parse_scenario(json: &str) -> Result<ScenarioSpec, Vec<ScenarioFileError>> {
+    match serde_json::parse(json) {
+        Ok(value) => scenario_from_value(&value),
+        Err(e) => Err(vec![ScenarioFileError {
+            path: String::new(),
+            message: format!("not valid JSON: {e}"),
+        }]),
+    }
+}
+
+/// [`parse_scenario`] on an already-parsed JSON value — the entry the
+/// spec's `Deserialize` impl uses for documents embedded in artifacts.
+fn scenario_from_value(value: &Value) -> Result<ScenarioSpec, Vec<ScenarioFileError>> {
     let mut ctx = Ctx { errors: Vec::new() };
-    let value = match serde_json::parse(json) {
-        Ok(v) => v,
-        Err(e) => {
-            ctx.err("", format!("not valid JSON: {e}"));
-            return Err(ctx.errors);
-        }
-    };
-    let Value::Object(doc) = &value else {
+    let Value::Object(doc) = value else {
         ctx.err("", format!("a scenario file is a JSON object, got {}", value.kind()));
         return Err(ctx.errors);
     };
@@ -750,6 +756,28 @@ pub fn to_scenario_json(spec: &ScenarioSpec) -> String {
     serde_json::to_string_pretty(&to_scenario_value(spec)).expect("scenario value serializes")
 }
 
+/// A spec serializes as its `scenario.v1` document, so every artifact that
+/// derives `Serialize` over a spec embeds the one on-disk format.
+impl serde::Serialize for ScenarioSpec {
+    fn to_value(&self) -> Value {
+        to_scenario_value(self)
+    }
+}
+
+/// The validator is the deserializer: an embedded spec that does not pass
+/// it fails the artifact's parse with every problem listed.
+impl serde::Deserialize for ScenarioSpec {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        scenario_from_value(v).map_err(|errors| {
+            let shown: Vec<String> = errors.iter().map(ToString::to_string).collect();
+            serde::Error::new(format!(
+                "invalid {SCENARIO_FORMAT} document: {}",
+                shown.join("; ")
+            ))
+        })
+    }
+}
+
 /// Load and validate a scenario file. I/O failures come back in the same
 /// all-errors shape as validation failures, attributed to the file.
 pub fn load_scenario_file(path: &std::path::Path) -> Result<ScenarioSpec, Vec<ScenarioFileError>> {
@@ -766,34 +794,62 @@ pub fn load_scenario_file(path: &std::path::Path) -> Result<ScenarioSpec, Vec<Sc
 mod tests {
     use super::*;
 
-    fn roundtrip(seed: u64) {
-        let spec = ScenarioSpec::from_seed(seed);
-        let json = to_scenario_json(&spec);
+    fn roundtrip(spec: &ScenarioSpec, what: &str) {
+        let json = to_scenario_json(spec);
         let back = parse_scenario(&json)
-            .unwrap_or_else(|errs| panic!("seed {seed} did not round-trip: {errs:?}"));
-        assert_eq!(back, spec, "seed {seed} round-trip is not bit-identical");
+            .unwrap_or_else(|errs| panic!("{what} did not round-trip: {errs:?}\n{json}"));
+        assert_eq!(&back, spec, "{what} round-trip is not bit-identical");
     }
 
     #[test]
     fn every_grammar_spec_roundtrips() {
         for seed in 0..32 {
-            roundtrip(seed);
+            roundtrip(&ScenarioSpec::from_seed(seed), &format!("seed {seed}"));
         }
     }
 
+    /// Reproducer dumps, corpus entries and run logs all carry their spec
+    /// as a `scenario.v1` document, so every spec the fuzzer, the
+    /// structural frontier, the service-chaos swarm and the shrinker emit
+    /// must pass the validator and come back bit-for-bit.
     #[test]
     fn mutated_specs_roundtrip_too() {
+        // Grammar seeds beyond the quick block above.
+        for seed in 32..288 {
+            roundtrip(&ScenarioSpec::from_seed(seed), &format!("seed {seed}"));
+        }
+        // Every structural cell the frontier pins, from several parents.
+        let mut rng = ttt_sim::rng::stream_rng(11, "scenario-file-test-cells");
+        for cell in crate::coverage::StructuralCell::all() {
+            for seed in 0..4 {
+                let mut spec = ScenarioSpec::from_seed(seed);
+                crate::mutate::pin_to_cell(&mut spec, cell, &mut rng);
+                roundtrip(&spec, &format!("{cell:?} from seed {seed}"));
+            }
+        }
+        // The service-chaos swarm's specs (buggify armed, process faults).
+        for seed in 0..48 {
+            let outcome =
+                crate::swarm::run_seed_service_chaos(seed, &crate::Oracles::none(), false);
+            roundtrip(&outcome.spec, &format!("service-chaos seed {seed}"));
+        }
+        // The shrunk seed-30 trophy CI mints and reloads as a scenario.
+        let trip_wire = crate::Oracles {
+            tests_run_limit: Some(22),
+            ..crate::Oracles::none()
+        };
+        let trophy = crate::shrink::shrink(&ScenarioSpec::from_seed(30), &trip_wire)
+            .expect("seed 30 trips the 22-test wire");
+        roundtrip(&trophy.spec, "seed-30 trophy");
+        assert_eq!(parse_scenario(&trophy.dump).as_ref(), Ok(&trophy.spec));
         // Mutants reach the dimensions bare seeds never set: buggify,
         // non-ideal link models, staged rollouts at the clamp edges.
         let mut rng = ttt_sim::rng::stream_rng(7, "scenario-file-test");
         let donor = ScenarioSpec::from_seed(99);
         let mut spec = ScenarioSpec::from_seed(3);
-        for _ in 0..200 {
+        for i in 0..200 {
             spec = crate::mutate::mutate(&spec, &donor, &mut rng);
-            let json = to_scenario_json(&spec);
-            let back = parse_scenario(&json)
-                .unwrap_or_else(|errs| panic!("mutant did not round-trip: {errs:?}\n{json}"));
-            assert_eq!(back, spec);
+            roundtrip(&spec, &format!("mutant {i}"));
         }
     }
 

@@ -1,18 +1,20 @@
 //! On-disk artifacts reproduce campaigns bit-for-bit.
 //!
 //! The acceptance spine of the scenario pipeline: a hand-written
-//! `scenario.v1` file and a fuzzer reproducer dump must both re-run from
-//! their on-disk form to the same [`CampaignDigest`] on every engine, and
-//! the scenario-file layer must never panic or lose precision — checked
-//! here both on the checked-in examples and property-style across the
-//! grammar.
+//! `scenario.v1` file and a fuzzer reproducer dump (itself a `scenario.v1`
+//! file) must both re-run from their on-disk form to the same
+//! [`CampaignDigest`] on every engine, and no artifact parser — scenario
+//! files, reproducer replay, corpora, run logs — may panic or lose
+//! precision: checked here both on the checked-in examples and
+//! property-style across the grammar.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use ttt_core::Engine;
 use ttt_scengen::{
-    dump_spec, load_scenario_file, parse_dump, parse_scenario, run_logged, to_scenario_json,
-    CampaignDigest, ScenarioSpec,
+    load_scenario_file, parse_scenario, replay, run_logged, to_scenario_json, CampaignDigest,
+    Corpus, CoverageSignature, Oracles, RunLogArtifact, ScenarioSpec,
 };
 
 fn digest(spec: &ScenarioSpec, engine: Engine) -> CampaignDigest {
@@ -66,7 +68,8 @@ fn example_scenario_files_reproduce_identically_on_every_engine() {
 
 /// A fuzzer reproducer dump re-runs from disk to the identical digest on
 /// every engine — the artifact loop an operator actually uses: shrink
-/// writes the dump, a later build reads it back and reproduces.
+/// writes the dump, a later build loads it as a scenario file and
+/// reproduces.
 #[test]
 fn reproducer_dumps_reproduce_identically_on_every_engine() {
     let spec = ScenarioSpec::from_seed(17);
@@ -75,9 +78,9 @@ fn reproducer_dumps_reproduce_identically_on_every_engine() {
     let dir = std::env::temp_dir().join("ttt-scenario-artifacts-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("repro.json");
-    std::fs::write(&path, dump_spec(&spec)).unwrap();
+    std::fs::write(&path, to_scenario_json(&spec)).unwrap();
 
-    let loaded = parse_dump(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let loaded = load_scenario_file(&path).unwrap();
     assert_eq!(loaded, spec, "dump round-trip changed the spec");
     let replayed = digest_all_engines(&loaded);
     assert_eq!(replayed.diff(&original), Vec::<&str>::new());
@@ -121,21 +124,24 @@ proptest! {
         prop_assert_eq!(back, spec);
     }
 
-    /// Corrupting a valid scenario file never panics the parser: it
-    /// either still validates or reports non-empty, path-qualified errors.
+    /// Corrupting a valid artifact never panics its parser: a scenario
+    /// file either still validates or reports non-empty, path-qualified
+    /// errors, and reproducer replay, corpora and run logs either still
+    /// load or return a non-empty [`ttt_scengen::ReplayError`].
     #[test]
     fn corrupted_scenario_files_error_cleanly(
         seed in 0u64..64,
         cut in 0usize..100_000,
         junk in prop::collection::vec(0x20u8..0x7f, 0..24),
     ) {
-        let json = to_scenario_json(&ScenarioSpec::from_seed(seed));
-        let at = cut % (json.len() + 1);
-        // Splice arbitrary printable bytes mid-document (pretty-printed
-        // JSON is ASCII, so any byte index is a char boundary).
+        // Splice arbitrary printable bytes mid-document (the artifacts are
+        // ASCII JSON, so any byte index is a char boundary).
         let junk = String::from_utf8(junk).expect("printable ASCII");
-        let corrupted = format!("{}{}{}", &json[..at], junk, &json[at..]);
-        match parse_scenario(&corrupted) {
+        let splice = |doc: &str| {
+            let at = cut % (doc.len() + 1);
+            format!("{}{}{}", &doc[..at], junk, &doc[at..])
+        };
+        match parse_scenario(&splice(&to_scenario_json(&ScenarioSpec::from_seed(seed)))) {
             Ok(_) => {} // corruption happened to stay valid (e.g. whitespace)
             Err(errors) => {
                 prop_assert!(!errors.is_empty());
@@ -144,5 +150,40 @@ proptest! {
                 }
             }
         }
+        let docs = artifact_docs();
+        if let Err(e) = replay(&splice(&docs.dump), &Oracles::none()) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        if let Err(e) = Corpus::from_json(&splice(&docs.corpus)) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        if let Err(e) = RunLogArtifact::from_json(&splice(&docs.run_log)) {
+            prop_assert!(!e.to_string().is_empty());
+        }
     }
+}
+
+/// One valid document of each artifact kind, built once for the splice
+/// test: a short campaign's reproducer dump, a one-entry corpus and a
+/// run log.
+struct ArtifactDocs {
+    dump: String,
+    corpus: String,
+    run_log: String,
+}
+
+fn artifact_docs() -> &'static ArtifactDocs {
+    static DOCS: OnceLock<ArtifactDocs> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let mut spec = ScenarioSpec::from_seed(5);
+        spec.duration_hours = 12;
+        let log = run_logged(&spec, Engine::NextEvent);
+        let mut corpus = Corpus::new();
+        corpus.add(spec.clone(), CoverageSignature::capture(&spec, &log.digest));
+        ArtifactDocs {
+            dump: to_scenario_json(&spec),
+            corpus: corpus.to_json(),
+            run_log: log.to_json(),
+        }
+    })
 }
