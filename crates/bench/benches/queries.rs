@@ -8,9 +8,11 @@
 //!   — the pure read-plane ceiling. QPS = 10 000 / (median seconds);
 //!   `BENCH_10.json` records the derived figure next to the median.
 //! - `grid_of_grids_day_1m_users`: the acceptance workload — a 64-site
-//!   grid-of-grids campaign day with the query plane armed at one million
-//!   tenant users, versus the same day disarmed. The spread between the
-//!   two is the write-plane cost of publishing + inline sampling.
+//!   grid-of-grids campaign day with the query shaper set to one million
+//!   users and 2 M queries/day, versus the same day disarmed. The 2 M
+//!   queries are issued, not answered: the campaign answers at most
+//!   `QUERY_SAMPLE_PER_EPOCH` (32) per epoch. The spread between the two
+//!   is the write-plane cost of publishing + inline sampling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rayon::IntoParallelRefIterator;

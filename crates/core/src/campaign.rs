@@ -15,7 +15,6 @@
 use crate::config::{CampaignConfig, Engine, SchedulingMode, TestbedScale};
 use crate::matching::find_fault;
 use crate::metrics::CampaignMetrics;
-use crate::shard::ShardedRunQueue;
 use crate::snapshot::{
     fold_answer, fold_snapshot, random_query, CampaignSnapshot, QueryEngine, QueryStats,
     ServiceLiveness, SiteQueueView, SnapshotHub, QUERY_SAMPLE_PER_EPOCH,
@@ -47,6 +46,9 @@ struct RunningTest {
     build: BuildRef,
     suite_idx: usize,
     oar_job: FedJob,
+    /// The site whose resources the test holds (the primary part for
+    /// cross-site co-allocations).
+    site: usize,
     report: TestReport,
 }
 
@@ -87,7 +89,7 @@ pub struct Campaign {
     tb: Testbed,
     refapi: RefApi,
     /// Per-site scheduling domains: each site runs its own OAR server and
-    /// the driver shards placement across them.
+    /// the campaign routes placement across them.
     fed: Federation,
     ci: CiServer,
     sched: ExternalScheduler,
@@ -117,15 +119,11 @@ pub struct Campaign {
     /// Scratch buffer of due suite indices reused across trigger passes.
     naive_scratch: Vec<usize>,
     next_phase: usize,
-    /// In-flight tests keyed by `finish_at`, sharded per site (a test
-    /// lives on the shard of the domain whose resources it holds).
-    /// Completions pop in global `(finish_at, submission order)` — the
-    /// k-way merge replays exactly the order the old single queue used,
-    /// for every engine.
-    running: ShardedRunQueue<RunningTest>,
-    /// Tests completed per site shard, merged deterministically at every
-    /// completion — the sharded engine's incremental per-shard digest
-    /// contribution (an engine-equivalence observable).
+    /// In-flight tests keyed by `finish_at`; completions pop in
+    /// `(finish_at, submission order)`.
+    running: EventQueue<RunningTest>,
+    /// Tests completed per site, in domain order (an engine-equivalence
+    /// observable).
     site_completions: Vec<u64>,
     blocked: Vec<BlockedWork>,
     rng_inject: SmallRng,
@@ -232,14 +230,7 @@ impl Campaign {
         // Same seed/rate; the submit path only uses the rng-free hashed
         // variant, so arming it never shifts a stream.
         fed.set_buggify(ttt_sim::Buggify::new(cfg.seed, cfg.buggify_rate));
-        let mut sched = ExternalScheduler::new(cfg.policy.clone(), Vec::new());
-        if cfg.engine == Engine::ParallelSite {
-            // The sharded engine's fan-outs: per-domain advance/sync and
-            // availability/placement probe batches run on the worker pool.
-            // Both flags are value-preserving — see the equivalence suite.
-            fed.set_parallel(true);
-            sched.set_parallel(true);
-        }
+        let sched = ExternalScheduler::new(cfg.policy.clone(), Vec::new());
         let mut ci = CiServer::new(cfg.executors);
         // Same seed and rate as the testbed's hook: the CI side only uses
         // the rng-free hashed variant, so arming it never shifts a stream.
@@ -305,7 +296,7 @@ impl Campaign {
             naive_queue: EventQueue::new(),
             naive_scratch: Vec::new(),
             next_phase: 0,
-            running: ShardedRunQueue::new(sites),
+            running: EventQueue::new(),
             site_completions: vec![0; sites],
             blocked: Vec::new(),
             now: SimTime::ZERO,
@@ -380,9 +371,8 @@ impl Campaign {
         &self.ci
     }
 
-    /// Tests completed per site shard, in domain order — the sharded
-    /// engine's per-shard digest contribution, populated identically by
-    /// every engine (an engine-equivalence observable).
+    /// Tests completed per site, in domain order — populated identically
+    /// by every engine (an engine-equivalence observable).
     pub fn site_completions(&self) -> &[u64] {
         &self.site_completions
     }
@@ -469,10 +459,7 @@ impl Campaign {
                     self.step_to(t);
                 }
             }
-            // ParallelSite drives the identical next-event loop; the
-            // sharding shows up inside the step's fan-outs, never in
-            // which instants are processed.
-            Engine::NextEvent | Engine::ParallelSite => {
+            Engine::NextEvent => {
                 // The grid is anchored where this call starts, exactly like
                 // the lockstep `now + k*tick` sequence.
                 let anchor = self.now;
@@ -1049,21 +1036,19 @@ impl Campaign {
         };
         let walltime = self.suite[idx].family.walltime();
         let finish_at = t + report.duration.min(walltime);
-        // The test lives on the shard of the site whose resources it
-        // holds (primary part for cross-site co-allocations).
-        let shard = oar_job.primary_domain();
+        let site = oar_job.primary_domain();
         self.log_event(Event::JobStarted {
             at: t,
             test: self.suite_ids[idx].clone(),
-            site: shard as u16,
+            site: site as u16,
         });
         self.running.push(
-            shard,
             finish_at,
             RunningTest {
                 build,
                 suite_idx: idx,
                 oar_job,
+                site,
                 report,
             },
         );
@@ -1072,12 +1057,12 @@ impl Campaign {
     /// Complete every test whose `finish_at` elapsed, earliest first (FIFO
     /// among ties) — popped straight off the completion queue.
     fn complete_due(&mut self, t: SimTime) {
-        while let Some((finish_at, shard, r)) = self.running.pop_due(t) {
-            self.site_completions[shard] += 1;
+        while let Some((finish_at, r)) = self.running.pop_due(t) {
+            self.site_completions[r.site] += 1;
             self.log_event(Event::JobCompleted {
                 at: finish_at,
                 test: self.suite_ids[r.suite_idx].clone(),
-                site: shard as u16,
+                site: r.site as u16,
                 passed: r.report.passed(),
             });
             self.fed.complete_early(&r.oar_job);

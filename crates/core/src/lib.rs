@@ -32,7 +32,6 @@ pub mod config;
 pub mod matching;
 pub mod metrics;
 pub mod scenario;
-pub mod shard;
 pub mod snapshot;
 
 pub use campaign::Campaign;

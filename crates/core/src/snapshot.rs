@@ -15,7 +15,7 @@
 //!
 //! * Query answers are pure functions of `(epoch, query)`:
 //!   [`QueryEngine::answer`] receives only the snapshot and the query.
-//! * All three campaign engines publish identical snapshot sequences —
+//! * Both campaign engines publish identical snapshot sequences —
 //!   every published snapshot is folded into a running digest
 //!   ([`fold_snapshot`]) compared across engines by the equivalence suite.
 //! * Arming the read plane never perturbs the campaign digest: the query
@@ -37,7 +37,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use ttt_ci::JobView;
 use ttt_kwapi::WindowAgg;
 use ttt_refapi::PropertyMap;
@@ -151,7 +151,9 @@ pub struct CampaignSnapshot {
 /// readers. See the module docs for the locking contract.
 #[derive(Debug)]
 pub struct SnapshotHub {
-    /// Bounded ring of the most recent epochs, newest at the back.
+    /// Bounded ring of the most recent epochs, newest at the back. It
+    /// holds whole `Arc`s, so a writer that panicked mid-publish cannot
+    /// leave a half-written entry: every access ignores lock poisoning.
     ring: RwLock<VecDeque<Arc<CampaignSnapshot>>>,
     /// Epoch of the newest published snapshot (0 before the first).
     published: AtomicU64,
@@ -174,7 +176,7 @@ impl SnapshotHub {
         let epoch = snap.epoch;
         let snap = Arc::new(snap);
         {
-            let mut ring = self.ring.write().expect("snapshot ring poisoned");
+            let mut ring = self.ring.write().unwrap_or_else(PoisonError::into_inner);
             ring.push_back(Arc::clone(&snap));
             while ring.len() > self.capacity {
                 ring.pop_front();
@@ -188,7 +190,7 @@ impl SnapshotHub {
     pub fn latest(&self) -> Option<Arc<CampaignSnapshot>> {
         self.ring
             .read()
-            .expect("snapshot ring poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .back()
             .cloned()
     }
@@ -197,7 +199,7 @@ impl SnapshotHub {
     pub fn at_epoch(&self, epoch: u64) -> Option<Arc<CampaignSnapshot>> {
         self.ring
             .read()
-            .expect("snapshot ring poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .find(|s| s.epoch == epoch)
             .cloned()
@@ -212,7 +214,10 @@ impl SnapshotHub {
 
     /// Number of epochs currently held.
     pub fn held(&self) -> usize {
-        self.ring.read().expect("snapshot ring poisoned").len()
+        self.ring
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 
@@ -443,7 +448,7 @@ pub fn fold_answer(acc: u64, a: &QueryAnswer) -> u64 {
 /// Fold one published snapshot into a running digest. The fold covers
 /// every section structurally (job histories, queues, liveness rows,
 /// description version, property count, window stats with float bits), so
-/// "all three engines publish identical snapshot sequences" is a single
+/// "both engines publish identical snapshot sequences" is a single
 /// u64 comparison per campaign.
 pub fn fold_snapshot(acc: u64, s: &CampaignSnapshot) -> u64 {
     let mut h = mix(acc, s.epoch);
@@ -579,6 +584,26 @@ mod tests {
         // The writer moved on; the old reader's epoch is still intact.
         hub.publish(snap(2));
         assert_eq!(held.epoch, 1);
+    }
+
+    #[test]
+    fn hub_survives_a_writer_that_panicked_holding_the_ring() {
+        let hub = Arc::new(SnapshotHub::new(2));
+        hub.publish(snap(1));
+        let h2 = Arc::clone(&hub);
+        let crashed = std::thread::spawn(move || {
+            let _guard = h2.ring.write();
+            panic!("writer died holding the ring");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(hub.ring.is_poisoned());
+        // The ring holds whole `Arc`s, so the poisoned ring is still a
+        // valid one: publishing and reading carry on.
+        hub.publish(snap(2));
+        assert_eq!(hub.latest().map(|s| s.epoch), Some(2));
+        assert_eq!(hub.at_epoch(1).map(|s| s.epoch), Some(1));
+        assert_eq!(hub.held(), 2);
     }
 
     #[test]

@@ -2,19 +2,11 @@
 
 use crate::entry::TestEntry;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use ttt_ci::{Cause, CiServer};
 use ttt_oar::AvailabilityProbe;
 use ttt_sim::{Calendar, EventQueue, ExponentialBackoff, HourRange, SimDuration, SimTime};
-
-/// Fewest due entries for which precomputing the availability probes on
-/// the worker pool beats probing inline (pool dispatch costs ~10µs; most
-/// passes examine a handful of entries and skip it). Tuning knob only —
-/// probe answers, and therefore decisions and RNG draws, are identical
-/// either way.
-const PARALLEL_PROBE_MIN_DUE: usize = 8;
 
 /// Scheduling policies (slide 17).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,12 +84,6 @@ pub struct ExternalScheduler {
     site_ids: BTreeMap<String, usize>,
     /// Count of in-flight entries per interned site.
     active_per_site: Vec<usize>,
-    /// Worker-pool width the probe precompute assumes: 1 (the default)
-    /// probes inline; the `ParallelSite` engine raises it to the pool
-    /// width sampled at enable time. Decisions are bit-identical either
-    /// way: within one pass the probed resource state is immutable, so a
-    /// precomputed answer equals an inline one.
-    pool_width: usize,
     /// Decision counters for reporting (experiment E5).
     pub stats: SchedulerStats,
 }
@@ -149,7 +135,6 @@ impl ExternalScheduler {
             site_names: Vec::new(),
             site_ids: BTreeMap::new(),
             active_per_site: Vec::new(),
-            pool_width: 1,
             stats: SchedulerStats::default(),
         };
         for e in &entries {
@@ -174,16 +159,6 @@ impl ExternalScheduler {
     /// The policy in use.
     pub fn policy(&self) -> &PolicyConfig {
         &self.policy
-    }
-
-    /// Enable (or disable) parallel probe precompute in decision passes,
-    /// sampling the pool width once.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.pool_width = if parallel {
-            rayon::current_num_threads().max(1)
-        } else {
-            1
-        };
     }
 
     /// The tracked entries.
@@ -249,7 +224,7 @@ impl ExternalScheduler {
         &mut self,
         now: SimTime,
         ci: &mut CiServer,
-        oar: &(impl AvailabilityProbe + Sync),
+        oar: &impl AvailabilityProbe,
         rng: &mut R,
     ) -> Vec<(String, Decision)> {
         let mut out = Vec::new();
@@ -264,7 +239,7 @@ impl ExternalScheduler {
         &mut self,
         now: SimTime,
         ci: &mut CiServer,
-        oar: &(impl AvailabilityProbe + Sync),
+        oar: &impl AvailabilityProbe,
         rng: &mut R,
     ) {
         self.pass(now, ci, oar, rng, &mut |_, _| {});
@@ -274,7 +249,7 @@ impl ExternalScheduler {
         &mut self,
         now: SimTime,
         ci: &mut CiServer,
-        oar: &(impl AvailabilityProbe + Sync),
+        oar: &impl AvailabilityProbe,
         rng: &mut R,
         record: &mut dyn FnMut(&str, Decision),
     ) {
@@ -289,38 +264,8 @@ impl ExternalScheduler {
         );
         due.sort_unstable();
         due.dedup();
-        // Probe precompute: `oar` is borrowed immutably for the whole pass,
-        // so entry `i`'s availability answer cannot depend on what the pass
-        // decided for entries before it — a precomputed answer equals the
-        // inline one. Only entries that can actually reach policy 3 are
-        // probed: the peak-hours test depends on nothing the pass mutates,
-        // and `active_per_site` only grows during a pass, so an entry whose
-        // site is at the cap *now* is guaranteed to defer at policy 2 and
-        // would never probe inline either. Entries cut off by a cap filling
-        // mid-pass waste their probe; that waste is bounded by the cap.
-        let probes: Option<Vec<Option<bool>>> =
-            if self.pool_width > 1 && due.len() >= PARALLEL_PROBE_MIN_DUE {
-                let entries = &self.entries;
-                let policy = &self.policy;
-                let peak = Calendar::is_peak(now, policy.peak_hours);
-                let needs_probe = |i: usize| {
-                    !(policy.avoid_peak_hours && entries[i].hardware_centric && peak)
-                        && self.active_per_site[self.site_of[i]] < policy.max_active_per_site
-                };
-                Some(
-                    due.par_iter()
-                        .map(|&i| {
-                            needs_probe(i)
-                                .then(|| oar.can_start_now(&entries[i].site, &entries[i].request))
-                        })
-                        .collect(),
-                )
-            } else {
-                None
-            };
-        for (k, &i) in due.iter().enumerate() {
-            let probe = probes.as_ref().and_then(|p| p[k]);
-            let decision = self.decide(i, now, ci, oar, rng, probe);
+        for &i in &due {
+            let decision = self.decide(i, now, ci, oar, rng);
             record(&self.entries[i].id, decision);
         }
         self.due_scratch = due;
@@ -333,7 +278,6 @@ impl ExternalScheduler {
         ci: &mut CiServer,
         oar: &impl AvailabilityProbe,
         rng: &mut R,
-        probe: Option<bool>,
     ) -> Decision {
         let entry = &self.entries[i];
 
@@ -358,9 +302,8 @@ impl ExternalScheduler {
 
         // Policy 3: resource availability on the testbed, queried from OAR
         // (a federation answers for the entry's home site, spillover
-        // included; a single server ignores the site). A precomputed
-        // answer from the pass's parallel probe batch is used verbatim.
-        let can_start = probe.unwrap_or_else(|| oar.can_start_now(&entry.site, &entry.request));
+        // included; a single server ignores the site).
+        let can_start = oar.can_start_now(&entry.site, &entry.request);
         if !can_start {
             let delay = self
                 .policy

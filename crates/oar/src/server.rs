@@ -73,10 +73,11 @@ enum OarEvent {
 /// *description* drifts, the DB does not — that inconsistency is the
 /// paper's subject), so a federation shares one `Arc<ResourceDb>` across
 /// every site's server instead of cloning 894 property maps per domain.
-/// `Arc` (not `Rc`) because the parallel-site engine advances domains on
-/// pool workers; the match cache sits behind an `RwLock`, which keeps the
-/// type `Sync` — concurrent fills compute the same value for the same
-/// filter, so a racing double-insert is harmless and value-deterministic.
+/// `Arc` (not `Rc`) and an `RwLock`ed match cache (not a `RefCell`) keep
+/// the database `Send + Sync`, so a campaign that owns it can be built and
+/// run on any worker thread of a seed fan-out. A fill computes the same
+/// value for the same filter, so even a racing double-insert would be
+/// value-deterministic.
 /// Liveness and reservations are per-server state, filtered per query.
 pub struct ResourceDb {
     /// Host-name-keyed properties from the Reference API.

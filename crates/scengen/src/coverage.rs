@@ -166,8 +166,8 @@ impl StructuralCell {
     /// faults are contradictory (calm means *no* fault arrivals) and are
     /// skipped: 2 modes × 3 rollouts × 4 site counts × 3 regimes = 72,
     /// plus a large-scale block (sites = 8, same mode/rollout/regime
-    /// cross) appended at the end so the sharded engine gets federated
-    /// coverage without reordering the original frontier (72 + 18 = 90),
+    /// cross) appended at the end so wide federations get coverage
+    /// without reordering the original frontier (72 + 18 = 90),
     /// plus a service-chaos block (service faults + buggify armed, 2 and
     /// 8 sites) appended after that: 90 + 12 = 102.
     pub fn all() -> Vec<StructuralCell> {

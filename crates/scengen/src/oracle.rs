@@ -119,13 +119,12 @@ pub struct CampaignDigest {
     pub active_faults: usize,
     /// Status-grid rows.
     pub grid_rows: Vec<String>,
-    /// Jobs submitted per site domain — the federation's sharding is an
+    /// Jobs submitted per site domain — per-site placement is an
     /// observable, so a placement divergence between engines is caught
     /// even when the totals happen to agree.
     pub per_site_jobs: Vec<u64>,
-    /// Tests completed per site shard (the sharded engine's incremental
-    /// per-shard digest, merged deterministically — populated identically
-    /// by every engine).
+    /// Tests completed per site domain, in domain order (the site whose
+    /// resources each test held) — populated identically by every engine.
     pub per_site_completions: Vec<u64>,
     /// Jobs placed off their home domain (saturation spillover).
     pub spillovers: u64,
@@ -295,25 +294,20 @@ pub fn run_campaign(spec: &ScenarioSpec, engine: Engine) -> Campaign {
     c
 }
 
-/// Oracle 1: all three engines must agree bit-for-bit on `spec` — compared
-/// via [`CampaignDigest::diff`], which covers every observable except the
+/// Oracle 1: both engines must agree bit-for-bit on `spec` — compared via
+/// [`CampaignDigest::diff`], which covers every observable except the
 /// engine-private wake-reason mix. The caller supplies the next-event
-/// digest; this runs Lockstep and ParallelSite and diffs both against it.
+/// digest; this runs Lockstep and diffs it against that.
 pub fn check_engine_equivalence(spec: &ScenarioSpec, next_event: &CampaignDigest) -> Option<Violation> {
-    for engine in [Engine::Lockstep, Engine::ParallelSite] {
-        let other = CampaignDigest::capture(&run_campaign(spec, engine));
-        let diverging = other.diff(next_event);
-        if !diverging.is_empty() {
-            return Some(Violation {
-                oracle: OracleKind::EngineEquivalence,
-                detail: format!(
-                    "{engine:?} diverges from NextEvent on fields {diverging:?} (seed {})",
-                    spec.seed
-                ),
-            });
-        }
-    }
-    None
+    let lockstep = CampaignDigest::capture(&run_campaign(spec, Engine::Lockstep));
+    let diverging = lockstep.diff(next_event);
+    (!diverging.is_empty()).then(|| Violation {
+        oracle: OracleKind::EngineEquivalence,
+        detail: format!(
+            "Lockstep diverges from NextEvent on fields {diverging:?} (seed {})",
+            spec.seed
+        ),
+    })
 }
 
 /// The canonical diagnostic-signature prefix a fault kind surfaces as.
@@ -479,7 +473,12 @@ pub fn detection_failure(
     stream: &str,
 ) -> Option<String> {
     let mut h = Harness::with_stream(seed, stream);
-    let nodes = h.tb.cluster_by_name(cluster_name).unwrap().nodes.clone();
+    let Some(cluster) = h.tb.cluster_by_name(cluster_name) else {
+        return Some(format!(
+            "{kind}: unknown cluster {cluster_name:?} in the shared harness"
+        ));
+    };
+    let (nodes, cluster_site) = (cluster.nodes.clone(), cluster.site);
     let fault_target = match kind {
         FaultKind::CablingSwap => FaultTarget::NodePair(nodes[0], nodes[1]),
         FaultKind::ServiceFlaky
@@ -490,7 +489,7 @@ pub fn detection_failure(
         }
         FaultKind::SitePowerOutage | FaultKind::ClockSkew | FaultKind::RpcDegraded => {
             // The site owning the declared cluster.
-            FaultTarget::Site(h.tb.cluster_by_name(cluster_name).unwrap().site)
+            FaultTarget::Site(cluster_site)
         }
         FaultKind::SiteLinkPartition => {
             if h.tb.sites().len() < 2 {

@@ -33,7 +33,6 @@ pub fn engine_name(engine: Engine) -> &'static str {
     match engine {
         Engine::NextEvent => "next-event",
         Engine::Lockstep => "lockstep",
-        Engine::ParallelSite => "parallel-site",
     }
 }
 
@@ -42,7 +41,6 @@ pub fn parse_engine(name: &str) -> Option<Engine> {
     match name {
         "next-event" => Some(Engine::NextEvent),
         "lockstep" => Some(Engine::Lockstep),
-        "parallel-site" => Some(Engine::ParallelSite),
         _ => None,
     }
 }
@@ -120,7 +118,8 @@ impl RunLogReplay {
 
 /// Re-drive the campaign recorded in `artifact` and bitwise-diff the
 /// result against it. An unknown engine name is a [`ReplayError`] — it
-/// means the artifact came from a newer build, not that the run diverged.
+/// means the artifact came from another build (one with an engine this
+/// build lacks, or no longer has), not that the run diverged.
 pub fn replay_run_log(artifact: &RunLogArtifact) -> Result<RunLogReplay, ReplayError> {
     let engine = parse_engine(&artifact.engine).ok_or_else(|| {
         ReplayError::parse(format!("unknown engine {:?} in run log", artifact.engine))
@@ -180,7 +179,7 @@ mod tests {
     #[test]
     fn every_engine_replays_its_own_log() {
         let spec = ScenarioSpec::from_seed(2);
-        for engine in [Engine::NextEvent, Engine::Lockstep, Engine::ParallelSite] {
+        for engine in [Engine::NextEvent, Engine::Lockstep] {
             let artifact = run_logged(&spec, engine);
             let replay = replay_run_log(&artifact).unwrap();
             assert!(replay.is_identical(), "{} replay diverged", artifact.engine);
@@ -193,14 +192,11 @@ mod tests {
         // campaign's observable behaviour and must match across engines.
         let spec = ScenarioSpec::from_seed(4);
         let next_event = run_logged(&spec, Engine::NextEvent);
-        for engine in [Engine::Lockstep, Engine::ParallelSite] {
-            let other = run_logged(&spec, engine);
-            assert!(
-                next_event.events.observably_equal(&other.events),
-                "{} event stream diverges from next-event",
-                other.engine
-            );
-        }
+        let lockstep = run_logged(&spec, Engine::Lockstep);
+        assert!(
+            next_event.events.observably_equal(&lockstep.events),
+            "lockstep event stream diverges from next-event"
+        );
     }
 
     #[test]
@@ -219,9 +215,20 @@ mod tests {
         assert!(RunLogArtifact::from_json("not json").is_err());
         assert!(RunLogArtifact::from_json("{\"engine\": \"next-event\"}").is_err());
 
+        // An engine this build does not know — made up, or removed (the
+        // site-sharded "parallel-site" engine) — is reported, never
+        // replayed on a stand-in.
         let mut artifact = run_logged(&ScenarioSpec::from_seed(3), Engine::NextEvent);
-        artifact.engine = "quantum".to_string();
-        assert!(replay_run_log(&artifact).is_err());
+        for engine in ["quantum", "parallel-site"] {
+            artifact.engine = engine.to_string();
+            match replay_run_log(&artifact) {
+                Err(ReplayError {
+                    kind: ReplayErrorKind::Parse(msg),
+                    ..
+                }) => assert!(msg.contains("unknown engine"), "{engine}: {msg}"),
+                other => panic!("{engine}: expected unknown-engine error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

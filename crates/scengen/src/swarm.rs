@@ -149,17 +149,30 @@ fn run_scenario_unguarded(spec: &ScenarioSpec, oracles: &Oracles) -> ScenarioRun
     }
     let campaign = run_campaign(spec, Engine::NextEvent);
     let digest = CampaignDigest::capture(&campaign);
+    // The oracles that read the finished campaign run first, so it is
+    // dropped before the equivalence oracle builds the Lockstep one: a
+    // swarm worker holds one campaign at a time. Violations are still
+    // reported in oracle order.
+    let resolution = if oracles.detection {
+        check_fault_resolution(campaign.testbed())
+    } else {
+        Vec::new()
+    };
+    let conservation = if oracles.conservation {
+        check_conservation(&campaign)
+    } else {
+        Vec::new()
+    };
+    drop(campaign);
     let mut violations = Vec::new();
     if oracles.equivalence {
         violations.extend(check_engine_equivalence(spec, &digest));
     }
+    violations.extend(resolution);
     if oracles.detection {
-        violations.extend(check_fault_resolution(campaign.testbed()));
         violations.extend(check_kind_detectability(spec));
     }
-    if oracles.conservation {
-        violations.extend(check_conservation(&campaign));
-    }
+    violations.extend(conservation);
     if let Some(limit) = oracles.tests_run_limit {
         if digest.tests_run > limit {
             violations.push(Violation {

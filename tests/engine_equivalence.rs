@@ -1,12 +1,7 @@
-//! Engine equivalence: the next-event engine and the site-sharded
-//! parallel engine must produce bit-identical campaigns to the legacy
-//! lockstep engine — same seeds, same metrics, same tracker counts, same
-//! scheduler decisions. NextEvent earns this by processing exactly the
-//! grid instants where something is due; ParallelSite earns it by fanning
-//! out only value-deterministic per-site work (OAR domain advance,
-//! dirty-node reconciliation, availability and placement probes) between
-//! the grid-instant barriers and applying every RNG-ordered effect in the
-//! canonical sequential order at each barrier.
+//! Engine equivalence: the next-event engine must produce bit-identical
+//! campaigns to the legacy lockstep engine — same seeds, same metrics,
+//! same tracker counts, same scheduler decisions. NextEvent earns this by
+//! processing exactly the grid instants where something is due.
 //!
 //! The observable state is captured by `scengen`'s [`CampaignDigest`]
 //! (floats taken bitwise, so "identical" means identical); the scenario
@@ -33,22 +28,20 @@ fn assert_equivalent(reference: &CampaignDigest, other: &CampaignDigest, label: 
     assert!(diverging.is_empty(), "{label} diverged on {diverging:?}");
 }
 
-/// Run all three engines on `cfg` and require bit-identity, with the
+/// Run both engines on `cfg` and require bit-identity, with the
 /// next-event digest as the reference. Returns that reference for extra
 /// scenario-specific assertions.
-fn assert_three_way(cfg: CampaignConfig, label: &str) -> CampaignDigest {
+fn assert_engines_agree(cfg: CampaignConfig, label: &str) -> CampaignDigest {
     let event = run(cfg.clone(), Engine::NextEvent);
-    let lockstep = run(cfg.clone(), Engine::Lockstep);
+    let lockstep = run(cfg, Engine::Lockstep);
     assert_equivalent(&event, &lockstep, &format!("{label}: Lockstep"));
-    let parallel = run(cfg, Engine::ParallelSite);
-    assert_equivalent(&event, &parallel, &format!("{label}: ParallelSite"));
     event
 }
 
 #[test]
 fn small_campaign_identical_across_engines_and_seeds() {
     for seed in [7, 42, 1234] {
-        let event = assert_three_way(CampaignConfig::small(seed), &format!("seed {seed}"));
+        let event = assert_engines_agree(CampaignConfig::small(seed), &format!("seed {seed}"));
         assert!(event.tests_run > 0, "seed {seed} ran nothing");
     }
 }
@@ -61,7 +54,7 @@ fn small_naive_mode_identical_across_engines() {
             period: SimDuration::from_days(1),
         };
         cfg.duration = SimDuration::from_days(6);
-        let event = assert_three_way(cfg, &format!("naive seed {seed}"));
+        let event = assert_engines_agree(cfg, &format!("naive seed {seed}"));
         assert!(event.tests_run > 0);
     }
 }
@@ -69,22 +62,20 @@ fn small_naive_mode_identical_across_engines() {
 #[test]
 fn paper_scale_scheduling_scenario_identical_across_engines() {
     // The bench workload, shortened: paper-scale 8-site testbed, external
-    // scheduler, heavy user load — one run-queue shard per site under
-    // ParallelSite.
+    // scheduler, heavy user load.
     for seed in [7, 42] {
         let mut cfg =
             throughout::core::scenario::scheduling_scenario(seed, SchedulingMode::External);
         cfg.duration = SimDuration::from_days(1);
-        let event = assert_three_way(cfg, &format!("paper-scale seed {seed}"));
+        let event = assert_engines_agree(cfg, &format!("paper-scale seed {seed}"));
         assert!(event.tests_run > 0);
     }
 }
 
 /// Forced co-allocation: a two-site grid world whose only active family is
 /// kavlan, so the global-VLAN configuration (one node on each of two
-/// sites, `oargridsub`-style) dominates the run. Co-allocations are the
-/// cross-site effect the sharded engine must keep in canonical order —
-/// the split touches two shards atomically at a barrier.
+/// sites, `oargridsub`-style) dominates the run: the split books two
+/// domains atomically, and both engines must book it identically.
 #[test]
 fn forced_co_allocation_identical_across_engines() {
     let mut cfg = throughout::core::scenario::grid_of_grids_scenario(11, 2);
@@ -92,7 +83,7 @@ fn forced_co_allocation_identical_across_engines() {
     cfg.rollout = Rollout {
         phases: vec![(SimTime::ZERO, vec![Family::Kavlan])],
     };
-    let event = assert_three_way(cfg, "forced co-allocation");
+    let event = assert_engines_agree(cfg, "forced co-allocation");
     assert!(event.tests_run > 0, "kavlan-only campaign ran nothing");
     assert!(
         event.co_allocations > 0,
@@ -100,50 +91,12 @@ fn forced_co_allocation_identical_across_engines() {
     );
 }
 
-/// The worker-count sweep: ParallelSite must be bit-identical to
-/// NextEvent at every `RAYON_NUM_THREADS`, across 32 seeds — with the
-/// service-process chaos armed (the default injector mix includes
-/// crash/restart/RPC-degradation arrivals, and buggify runs at a low
-/// rate), since process liveness and buggified callsites are exactly the
-/// state the sharded engine must keep in canonical order. On a machine
-/// with few cores the higher counts collapse to the same pool width —
-/// the CI matrix re-runs this whole binary under `RAYON_NUM_THREADS=1`
-/// and `=16` to force both extremes regardless of the host.
-#[test]
-fn parallel_site_is_thread_count_invariant_across_32_seeds() {
-    let cfg = |seed| {
-        let mut c = CampaignConfig::small(seed);
-        c.buggify_rate = 0.02;
-        c
-    };
-    let references: Vec<CampaignDigest> = (1..=32)
-        .map(|seed| run(cfg(seed), Engine::NextEvent))
-        .collect();
-    let saved = std::env::var("RAYON_NUM_THREADS").ok();
-    for threads in ["1", "4", "16"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        for (i, reference) in references.iter().enumerate() {
-            let seed = i as u64 + 1;
-            let parallel = run(cfg(seed), Engine::ParallelSite);
-            assert_equivalent(
-                reference,
-                &parallel,
-                &format!("seed {seed} at {threads} workers"),
-            );
-        }
-    }
-    match saved {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-}
-
-/// Heavy service chaos, three ways: a multi-site campaign where the
-/// service-process kinds arrive several times a day and buggify fires at
-/// a high rate must still be bit-identical across all three engines —
-/// crash/restart applications draw RNG (sequential at the barrier), the
-/// restart wake term must fire at the same instants, and the hashed
-/// buggify decisions must not depend on engine interleaving. The digest
+/// Heavy service chaos: a multi-site campaign where the service-process
+/// kinds arrive several times a day and buggify fires at a high rate must
+/// still be bit-identical across both engines — crash/restart
+/// applications draw RNG at the same instants, the restart wake term must
+/// fire at the same instants, and the hashed buggify decisions must not
+/// depend on which instants an engine visits. The digest
 /// includes the per-service chaos ledger, so a single divergent dropped
 /// call fails the diff.
 #[test]
@@ -158,7 +111,7 @@ fn service_chaos_identical_across_engines() {
                 *rate = 3.0;
             }
         }
-        let event = assert_three_way(cfg, &format!("service chaos seed {seed}"));
+        let event = assert_engines_agree(cfg, &format!("service chaos seed {seed}"));
         assert!(event.tests_run > 0, "seed {seed} ran nothing");
         assert!(
             !event.service_processes.is_empty(),
@@ -168,11 +121,11 @@ fn service_chaos_identical_across_engines() {
 }
 
 /// The read plane rides the same determinism contract: with the query
-/// workload armed, all three engines must publish the identical snapshot
+/// workload armed, both engines must publish the identical snapshot
 /// sequence (captured as a running fold over every published epoch) and
 /// execute the identical query mix (same issued/executed counts, same
 /// answer fold) — snapshots are taken at the sample-cadence instants,
-/// which all engines hit exactly.
+/// which both engines hit exactly.
 #[test]
 fn armed_query_plane_identical_across_engines() {
     for seed in [7, 42] {
@@ -180,7 +133,7 @@ fn armed_query_plane_identical_across_engines() {
         cfg.queries_per_day = 50_000.0;
         cfg.query_users = 100_000;
         let mut folds = Vec::new();
-        for engine in [Engine::NextEvent, Engine::Lockstep, Engine::ParallelSite] {
+        for engine in [Engine::NextEvent, Engine::Lockstep] {
             let mut c = cfg.clone();
             c.engine = engine;
             let mut campaign = Campaign::new(c);
@@ -197,7 +150,6 @@ fn armed_query_plane_identical_across_engines() {
         assert!(folds[0].2 > 0, "seed {seed}: no snapshots published");
         assert!(folds[0].1.executed > 0, "seed {seed}: no queries executed");
         assert_eq!(folds[0], folds[1], "seed {seed}: Lockstep read plane diverged");
-        assert_eq!(folds[0], folds[2], "seed {seed}: ParallelSite read plane diverged");
     }
 }
 
@@ -213,9 +165,9 @@ fn digest_diff_names_the_diverging_fields() {
 
 #[test]
 fn partial_advance_matches_single_run() {
-    // Driving the event engine in several run_until legs lands on the same
-    // grid and the same outcome as one shot — for the sharded engine too.
-    for engine in [Engine::NextEvent, Engine::ParallelSite] {
+    // Driving a campaign in several run_until legs lands on the same grid
+    // and the same outcome as one shot, on either engine.
+    for engine in [Engine::NextEvent, Engine::Lockstep] {
         let mut cfg = CampaignConfig::small(5);
         cfg.engine = engine;
         let mut a = Campaign::new(cfg.clone());

@@ -41,7 +41,7 @@ fn fuzzer_reaches_the_random_plateau_in_a_quarter_budget() {
 }
 
 /// Determinism: identical corpus and trophies across runs and across
-/// rayon worker counts (the vendored pool honours RAYON_NUM_THREADS).
+/// rayon worker counts (the vendored fan-out honours RAYON_NUM_THREADS).
 #[test]
 fn fuzz_loop_is_deterministic_across_runs_and_worker_counts() {
     let cfg = FuzzConfig {

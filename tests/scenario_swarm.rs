@@ -158,8 +158,8 @@ fn swarm_regression_seed_117_engine_equivalence() {
 
 /// The federation acceptance scenario: a topology spanning ≥ 3 sites with
 /// every site-scoped fault kind active (outages, inter-site partitions,
-/// clock skew) must pass all three oracles — engines bit-identical across
-/// the sharded per-site queues, every active site fault resolvable from
+/// clock skew) must pass all three oracles — engines bit-identical in
+/// every per-site count, every active site fault resolvable from
 /// its diagnostic signature, and per-site + global conservation intact.
 #[test]
 fn multi_site_scenario_with_site_faults_passes_every_oracle() {
@@ -228,12 +228,11 @@ fn swarm_regression_seed_9026_multi_site_naive_cron() {
     assert!(run.tests_run() > 0);
 }
 
-/// The large-scale acceptance: an eight-site world (the sharded engine's
-/// home turf) pinned from the fuzzer's large-scale cell block must pass
-/// every oracle — in particular the three-way engine equivalence, whose
-/// ParallelSite leg exercises one run-queue shard per site plus the
-/// parallel federation/scheduler fan-outs. The horizon is capped so the
-/// three campaign runs stay CI-affordable.
+/// The large-scale acceptance: an eight-site world pinned from the
+/// fuzzer's large-scale cell block must pass every oracle — in particular
+/// the engine equivalence, whose per-site placement, spillover and
+/// completion counts span all eight domains. The horizon is capped so the
+/// campaign runs stay CI-affordable.
 #[test]
 fn eight_site_scenario_passes_every_oracle() {
     use throughout::scengen::{pin_to_cell, StructuralCell};
@@ -263,8 +262,8 @@ fn eight_site_scenario_passes_every_oracle() {
 /// mid-campaign, with buggify armed — the "kadeploy server on site 3
 /// crashed mid-deployment" class as a first-class generated scenario. It
 /// must pass all three oracles: the engines bit-identical (process
-/// crash/restart draws and buggify decisions replay across NextEvent,
-/// Lockstep and the sharded ParallelSite), every diagnosed service fault
+/// crash/restart draws and buggify decisions replay across NextEvent and
+/// Lockstep), every diagnosed service fault
 /// resolvable by the matrix, and conservation intact. The campaign must
 /// actually exercise the dimension: service-crash bugs filed and the
 /// digest's per-service chaos ledger non-empty.
